@@ -59,13 +59,15 @@ race-snapshots:
 	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
 	$(GO) test -race ./internal/enginetest/diff/ -run TestPinnedSnapshotSurvivesWriterTwins -count=1
 
-# The planner surface under the race detector: cardinality statistics,
-# the cost-based/WCO planner, and the plan-differential + metamorphic
-# twins that prove plan choice never changes answers. See DESIGN.md
-# "Planning & statistics contract".
+# The planner surface under the race detector: cardinality statistics
+# (the singleflight rebuild included), the cost-based/WCO planner, the
+# plan-differential + metamorphic twins that prove plan choice never
+# changes answers, and the block-incremental statistics exactness check on
+# every store. See DESIGN.md "Planning & statistics contract".
 race-plan:
 	$(GO) test -race ./internal/query/stats/ ./internal/query/plan/
-	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic' -count=1
+	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPlanStatsExact' -count=1
+	$(GO) test -race ./internal/engines/infinigraph/ -run TestPlanStatsExact -count=1
 
 # The networked service under the race detector: session registry,
 # admission gate, and the token-bucket/load-harness pieces that hammer

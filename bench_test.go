@@ -629,3 +629,28 @@ func BenchmarkParallelKernels(b *testing.B) {
 func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
+
+// BenchmarkPlanStatsAfterWrite measures the statistics rebuild one write
+// forces: a SetNodeProp on a 10k-node R-MAT memgraph, then PlanStats. The
+// rebuild re-renders and rescans only the block the write dirtied and
+// merges the memoised partials of the rest.
+func BenchmarkPlanStatsAfterWrite(b *testing.B) {
+	g := memgraph.New()
+	ids, err := gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: 10000, EdgesPerNode: 4, Seed: 42}, graphSink{g})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := g.PlanStats(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.SetNodeProp(ids[i%len(ids)], "weight", model.Float(float64(i))); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.PlanStats(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

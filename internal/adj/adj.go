@@ -86,17 +86,20 @@ func (r rows) forEach(i int, fn func(model.EdgeID) bool) bool {
 
 // nodeBlock holds the node records of one ID block plus both CSR
 // directions; edgeBlock holds edge records only (adjacency lives with the
-// endpoint nodes).
+// endpoint nodes). memo is the opaque slot NodeBlock.Memo and
+// EdgeBlock.Memo expose.
 type nodeBlock struct {
 	dir   directory
 	nodes []model.Node // dense, ascending ID
 	out   rows
 	in    rows
+	memo  atomic.Value
 }
 
 type edgeBlock struct {
 	dir   directory
 	edges []model.Edge // dense, ascending ID
+	memo  atomic.Value
 }
 
 // Snapshot is an immutable model.Graph rendered from a store at one stable
@@ -327,5 +330,59 @@ func (s *Snapshot) Degree(id model.NodeID, dir model.Direction) (int, error) {
 		return blk.in.degree(slot), nil
 	default:
 		return blk.out.degree(slot) + blk.in.degree(slot), nil
+	}
+}
+
+// NodeBlock is a read-only handle on one node block of a Snapshot: the
+// records of the present nodes among blockSize consecutive IDs, with their
+// CSR rows. Blocks are immutable and shared copy-on-write: a block no
+// write touched is carried, memo included, into the next published
+// version, and a touched block is rendered anew with an empty memo.
+type NodeBlock struct{ b *nodeBlock }
+
+// Len returns the number of nodes in the block.
+func (b NodeBlock) Len() int { return len(b.b.nodes) }
+
+// Node returns the i-th node record of the block, in ascending ID order.
+func (b NodeBlock) Node(i int) model.Node { return b.b.nodes[i] }
+
+// Degree returns the Both-direction degree of the i-th node: its out-row
+// plus its in-row length, so a self-loop counts twice.
+func (b NodeBlock) Degree(i int) int { return b.b.out.degree(i) + b.b.in.degree(i) }
+
+// Memo returns the block's memo slot: room for one value derived from the
+// block's contents alone, which therefore stays valid for the block's
+// lifetime and is reclaimed with it. The adj package never reads it.
+func (b NodeBlock) Memo() *atomic.Value { return &b.b.memo }
+
+// EdgeBlock is the edge-record counterpart of NodeBlock.
+type EdgeBlock struct{ b *edgeBlock }
+
+// Len returns the number of edges in the block.
+func (b EdgeBlock) Len() int { return len(b.b.edges) }
+
+// Edge returns the i-th edge record of the block, in ascending ID order.
+func (b EdgeBlock) Edge(i int) model.Edge { return b.b.edges[i] }
+
+// Memo returns the block's memo slot, as NodeBlock.Memo.
+func (b EdgeBlock) Memo() *atomic.Value { return &b.b.memo }
+
+// NodeBlocks calls fn for every non-vacant node block in ascending ID
+// order.
+func (s *Snapshot) NodeBlocks(fn func(NodeBlock)) {
+	for _, blk := range s.nb {
+		if blk != nil {
+			fn(NodeBlock{blk})
+		}
+	}
+}
+
+// EdgeBlocks calls fn for every non-vacant edge block in ascending ID
+// order.
+func (s *Snapshot) EdgeBlocks(fn func(EdgeBlock)) {
+	for _, blk := range s.eb {
+		if blk != nil {
+			fn(EdgeBlock{blk})
+		}
 	}
 }

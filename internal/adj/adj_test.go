@@ -479,3 +479,65 @@ func TestSortedNeighborIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockHandles: the block iterators enumerate exactly what Nodes,
+// Edges and Degree report, and a block's memo travels with the block —
+// carried by clean blocks into the next version, empty on a re-rendered
+// one.
+func TestBlockHandles(t *testing.T) {
+	src := newMapSource()
+	for i := 0; i < 1200; i++ { // three node blocks; block 1 left vacant below
+		src.addNode("x")
+	}
+	for id := model.NodeID(512); id < 1024; id++ {
+		delete(src.nodes, id)
+	}
+	src.addEdge("e", 1, 1100)
+	src.addEdge("loop", 7, 7)
+	var v Versioned
+	s1, rel1, err := v.Pin(0, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel1()
+
+	var blocks, nodes int
+	s1.NodeBlocks(func(b NodeBlock) {
+		blocks++
+		for i := 0; i < b.Len(); i++ {
+			n := b.Node(i)
+			if want := mustDegree(t, s1, n.ID, model.Both); b.Degree(i) != want {
+				t.Errorf("node %d: block degree %d, Degree %d", n.ID, b.Degree(i), want)
+			}
+			nodes++
+		}
+		b.Memo().Store(blocks)
+	})
+	if blocks != 2 || nodes != s1.Order() {
+		t.Fatalf("NodeBlocks visited %d blocks, %d nodes; want 2, %d", blocks, nodes, s1.Order())
+	}
+	var edges []model.EdgeID
+	s1.EdgeBlocks(func(b EdgeBlock) {
+		for i := 0; i < b.Len(); i++ {
+			edges = append(edges, b.Edge(i).ID)
+		}
+		b.Memo().Store("edges")
+	})
+	if fmt.Sprint(edges) != "[1 2]" {
+		t.Fatalf("EdgeBlocks visited edges %v", edges)
+	}
+
+	src.nodes[1100] = model.Node{ID: 1100, Label: "renamed"}
+	v.MarkNode(1100)
+	s2, rel2, err := v.Pin(2, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel2()
+	var memos []any
+	s2.NodeBlocks(func(b NodeBlock) { memos = append(memos, b.Memo().Load()) })
+	s2.EdgeBlocks(func(b EdgeBlock) { memos = append(memos, b.Memo().Load()) })
+	if fmt.Sprint(memos) != "[1 <nil> edges]" {
+		t.Fatalf("memos after a write to block 2 = %v, want [1 <nil> edges]", memos)
+	}
+}

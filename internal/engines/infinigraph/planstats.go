@@ -1,7 +1,6 @@
 package infinigraph
 
 import (
-	"gdbm/internal/adj"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
@@ -11,30 +10,17 @@ import (
 // both served from the pinned merged-shard snapshot so they see one stable
 // epoch and never block writers.
 
-// PlanStats implements stats.Provider. Statistics are keyed on the pinned
-// snapshot's epoch (the same double-bump discipline mutations follow), so
-// any write makes them unreachable and the next call rebuilds from the
-// then-current snapshot. Racing rebuilds are harmless: Publish keeps the
-// newest epoch.
+// PlanStats implements stats.Provider from the pinned view: statistics
+// are keyed on its stable epoch, so any write makes them unreachable and
+// the next call builds them for the then-current view (see
+// stats.Versioned.Get).
 func (db *DB) PlanStats() (*stats.Stats, error) {
 	g, release, err := db.AcquireSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	snap, ok := g.(*adj.Snapshot)
-	if !ok {
-		return nil, nil
-	}
-	if s := db.pstats.TryGet(snap.Epoch()); s != nil {
-		return s, nil
-	}
-	s, err := stats.Build(snap, snap.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	db.pstats.Publish(s)
-	return s, nil
+	return db.pstats.Get(g), nil
 }
 
 // SortedNeighborIDs implements model.SortedAdjacency from the pinned

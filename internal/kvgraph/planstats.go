@@ -1,7 +1,6 @@
 package kvgraph
 
 import (
-	adjpkg "gdbm/internal/adj"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
@@ -12,30 +11,17 @@ import (
 // copy-on-write view, so they see exactly one stable epoch and never block
 // writers.
 
-// PlanStats implements stats.Provider. The published statistics are keyed
-// on the view's stable epoch — the same double-bump discipline the caches
-// use — so any mutation makes them unreachable and the next call rebuilds
-// from the then-current view. Rebuilds race harmlessly: Publish keeps the
-// newest epoch.
+// PlanStats implements stats.Provider from the pinned view: statistics
+// are keyed on its stable epoch, so any write makes them unreachable and
+// the next call builds them for the then-current view (see
+// stats.Versioned.Get).
 func (g *Graph) PlanStats() (*stats.Stats, error) {
 	v, rel, err := g.AcquireView()
 	if err != nil {
 		return nil, err
 	}
 	defer rel()
-	snap, ok := v.(*adjpkg.Snapshot)
-	if !ok {
-		return nil, nil
-	}
-	if s := g.stats.TryGet(snap.Epoch()); s != nil {
-		return s, nil
-	}
-	s, err := stats.Build(snap, snap.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	g.stats.Publish(s)
-	return s, nil
+	return g.stats.Get(v), nil
 }
 
 // SortedNeighborIDs implements model.SortedAdjacency from the pinned view,

@@ -2,6 +2,7 @@ package stats_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -107,34 +108,80 @@ func TestDegreeHistogram(t *testing.T) {
 func TestVersionedEpochKeying(t *testing.T) {
 	g, ids := buildGraph(t, 12)
 	var v stats.Versioned
-	epoch := g.Epoch()
-	if got := v.TryGet(epoch); got != nil {
-		t.Fatal("empty Versioned served stats")
-	}
-	s, err := stats.Build(g, epoch)
+	view, release, err := g.AcquireView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Publish(s)
-	if got := v.TryGet(epoch); got != s {
-		t.Fatal("published stats not served for their epoch")
+	defer release()
+	s := v.Get(view)
+	if s == nil || s.Epoch != g.Epoch() {
+		t.Fatalf("Get = %+v, want stats at epoch %d", s, g.Epoch())
+	}
+	if got := v.Get(view); got != s {
+		t.Fatal("published stats not served again for their epoch")
 	}
 	// Any mutation double-bumps the epoch: the old stats must be
-	// unreachable through TryGet even though still published.
+	// unreachable for a view of the new epoch.
 	if err := g.SetNodeProp(ids[0], "rank", model.Int(99)); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.TryGet(g.Epoch()); got != nil {
-		t.Fatal("stale stats served after mutation")
+	view2, release2, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Odd (mid-mutation) epochs never serve.
-	if got := v.TryGet(epoch | 1); got != nil {
-		t.Fatal("stats served for an odd epoch")
+	defer release2()
+	s2 := v.Get(view2)
+	if s2 == s || s2.Epoch != g.Epoch() {
+		t.Fatalf("stale stats served after mutation: epoch %d, want %d", s2.Epoch, g.Epoch())
 	}
-	// Publish never regresses to an older epoch.
-	old := &stats.Stats{Epoch: s.Epoch - 2}
-	v.Publish(old)
-	if got := v.TryGet(s.Epoch); got != s {
-		t.Fatal("older publish displaced newer stats")
+	// A reader still pinned to the old view gets stats for its own epoch,
+	// and that never displaces the newer publication.
+	if old := v.Get(view); old.Epoch != s.Epoch {
+		t.Fatalf("old view got epoch %d, want %d", old.Epoch, s.Epoch)
+	}
+	if got := v.Get(view2); got != s2 {
+		t.Fatal("older build displaced newer stats")
+	}
+	// A view that is not a pinned snapshot has no epoch to key on.
+	if got := v.Get(g); got != nil {
+		t.Fatal("stats served for an unpinned graph")
+	}
+}
+
+// TestPlanStatsSingleflight: after one write, concurrent PlanStats
+// callers share one build of the new epoch and one *Stats.
+func TestPlanStatsSingleflight(t *testing.T) {
+	g, ids := buildGraph(t, 3000)
+	if _, err := g.PlanStats(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetNodeProp(ids[1], "rank", model.Int(-1)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	got := make([]*stats.Stats, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			s, err := g.PlanStats()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = s
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i, s := range got {
+		if s == nil || s != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p: want one shared build", i, s, got[0])
+		}
+	}
+	if got[0].Epoch != g.Epoch() {
+		t.Fatalf("shared stats at epoch %d, want %d", got[0].Epoch, g.Epoch())
 	}
 }
