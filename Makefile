@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench cover fuzz-smoke serve-smoke bench-serve ci
+.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench bench-exec cover fuzz-smoke serve-smoke bench-serve ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -82,6 +82,13 @@ bench:
 	$(GO) run ./cmd/gdbbench -parallel -table none -out BENCH_parallel.json
 	$(GO) run ./cmd/gdbbench -cache -table none -out BENCH_cache.json
 	$(GO) run ./cmd/gdbbench -plan -table none -nodes 20000 -degree 6 -out BENCH_plan.json
+
+# Executor ledger: the three traverse shapes of the serving benchmark,
+# compiled once and streamed over an in-memory 10k-node R-MAT neograph,
+# priced per output row (ns/row, allocs/row). See DESIGN.md "Executor row
+# contract".
+bench-exec:
+	$(GO) test -run '^$$' -bench BenchmarkExecTraverse -benchtime 300x .
 
 # Per-package coverage with a floor: any tested package below COVER_FLOOR
 # fails the build. Packages without tests, command mains and examples are

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"gdbm"
@@ -25,6 +26,8 @@ import (
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/pastql"
+	"gdbm/internal/query/gql"
+	"gdbm/internal/query/plan"
 	"gdbm/internal/storage/kv"
 	"gdbm/internal/storage/pager"
 )
@@ -653,4 +656,77 @@ func BenchmarkPlanStatsAfterWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkExecTraverse is the executor's operator-level ledger: the three
+// traverse shapes of the serving benchmark (2-hop, triangle, grouped 2-hop
+// with ORDER BY … LIMIT) compiled once per start node and streamed over an
+// in-memory 10k-node R-MAT neograph. It reports the cost per output row:
+// ns/row and allocs/row.
+func BenchmarkExecTraverse(b *testing.B) {
+	e := openEngine(b, "neograph")
+	seedRMAT(b, e, 10000)
+	if err := e.(interface{ CreateIndex(string) error }).CreateIndex("idx"); err != nil {
+		b.Fatal(err)
+	}
+	src := e.(plan.Source)
+	shapes := []struct{ name, stmt string }{
+		{"hop2", `MATCH (a:N {idx: %d})-[:link]->(b)-[:link]->(c) RETURN b.idx AS b, c.idx AS c`},
+		{"triangle", `MATCH (a:N {idx: %d})-[:link]->(b)-[:link]->(c), (a)-[:link]->(c) RETURN b.idx AS b, c.idx AS c`},
+		{"hop2group", `MATCH (a:N {idx: %d})-[:link]-(b)-[:link]-(c) RETURN c.idx AS c, count(*) AS n ORDER BY n DESC, c LIMIT 10`},
+	}
+	type compiled struct {
+		op   plan.Op
+		cols []string
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			// Up to 64 start nodes spread over the graph whose query answers
+			// at least one row.
+			var plans []compiled
+			for k := 0; k < 10000 && len(plans) < 64; k += 97 {
+				st, err := gql.Parse(fmt.Sprintf(sh.stmt, k))
+				if err != nil {
+					b.Fatal(err)
+				}
+				op, err := plan.CompileFor(st.Match, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var n rowCounter
+				if err := plan.Stream(op, src, st.Columns(), &n); err != nil {
+					b.Fatal(err)
+				}
+				if n > 0 {
+					plans = append(plans, compiled{op, st.Columns()})
+				}
+			}
+			var rows rowCounter
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := plans[i%len(plans)]
+				if err := plan.Stream(p.op, src, p.cols, &rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if rows > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/row")
+			}
+		})
+	}
+}
+
+// rowCounter is a plan.Sink that only counts rows.
+type rowCounter int
+
+func (*rowCounter) Cols([]string) error { return nil }
+
+func (c *rowCounter) Row([]model.Value) error {
+	*c++
+	return nil
 }

@@ -264,7 +264,16 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 		e model.Edge
 		n model.Node
 	}
-	var pairs []pair
+	n := 0
+	if dir == model.Out || dir == model.Both {
+		n += len(a.out)
+	}
+	if dir == model.In || dir == model.Both {
+		n += len(a.in)
+	}
+	// Copy the records under the lock: SetNodeProp/SetEdgeProp replace
+	// Props on the live records.
+	pairs := make([]pair, 0, n)
 	collect := func(eids []model.EdgeID, far func(*model.Edge) model.NodeID) {
 		for _, eid := range eids {
 			e := g.edges[eid]

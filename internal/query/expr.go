@@ -20,7 +20,9 @@ type Entry struct {
 type EntryKind uint8
 
 const (
-	EntryValue EntryKind = iota
+	// EntryUnset marks a row slot no operator has bound (the zero Entry).
+	EntryUnset EntryKind = iota
+	EntryValue
 	EntryNode
 	EntryEdge
 )
@@ -58,16 +60,90 @@ func (e Entry) Prop(name string) model.Value {
 	}
 }
 
-// Row is the binding environment flowing through query operators.
-type Row map[string]Entry
+// Layout names the slots of a row. A plan fixes its layouts when it
+// compiles: one for the pattern variables, one for each projection's output
+// columns. A Layout is immutable once built, so rows share it freely.
+type Layout struct{ names []string }
 
-// Clone copies the row.
-func (r Row) Clone() Row {
-	c := make(Row, len(r)+2)
-	for k, v := range r {
-		c[k] = v
+// NewLayout builds a layout with one slot per distinct name, in order.
+func NewLayout(names ...string) *Layout { return (*Layout)(nil).With(names...) }
+
+// With returns a layout extending l with the names it lacks, in order; l
+// itself when it already has them all. A nil l is the empty layout.
+func (l *Layout) With(names ...string) *Layout {
+	var out *Layout
+	for _, n := range names {
+		if l.Slot(n) >= 0 || out.Slot(n) >= 0 {
+			continue
+		}
+		if out == nil {
+			out = &Layout{names: append(make([]string, 0, len(l.Names())+len(names)), l.Names()...)}
+		}
+		out.names = append(out.names, n)
 	}
-	return c
+	if out == nil {
+		return l
+	}
+	return out
+}
+
+// Names lists the slot names in slot order.
+func (l *Layout) Names() []string {
+	if l == nil {
+		return nil
+	}
+	return l.names
+}
+
+// Slot returns the slot index of name, or -1. Layouts hold a handful of
+// names, so a scan beats hashing.
+func (l *Layout) Slot(name string) int {
+	if l == nil {
+		return -1
+	}
+	for i, n := range l.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Row is the binding environment flowing through query operators: one
+// fixed-width slot per name of its Layout. The zero Row binds nothing.
+type Row struct {
+	Layout *Layout
+	Slots  []Entry
+}
+
+// NewRow returns a row of l with every slot unset.
+func NewRow(l *Layout) Row {
+	return Row{Layout: l, Slots: make([]Entry, len(l.Names()))}
+}
+
+// Get returns the binding of name; ok is false when the layout has no such
+// slot or the slot is unset.
+func (r Row) Get(name string) (e Entry, ok bool) {
+	i := r.Layout.Slot(name)
+	if i < 0 || r.Slots[i].Kind == EntryUnset {
+		return Entry{}, false
+	}
+	return r.Slots[i], true
+}
+
+// Set binds name, which the layout must have; it reports whether it did.
+func (r Row) Set(name string, e Entry) bool {
+	i := r.Layout.Slot(name)
+	if i < 0 {
+		return false
+	}
+	r.Slots[i] = e
+	return true
+}
+
+// Clone copies the row's slots; the layout is shared.
+func (r Row) Clone() Row {
+	return Row{Layout: r.Layout, Slots: append([]Entry(nil), r.Slots...)}
 }
 
 // Expr is an evaluable expression over a Row.
@@ -98,7 +174,7 @@ type Var struct {
 
 // Eval implements Expr.
 func (v Var) Eval(r Row) (model.Value, error) {
-	e, ok := r[v.Name]
+	e, ok := r.Get(v.Name)
 	if !ok {
 		return model.Null(), fmt.Errorf("unbound variable %q", v.Name)
 	}

@@ -105,7 +105,15 @@ func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, er
 	}
 
 	// Materialize binding rows first so mutation does not race iteration.
-	rows := []query.Row{{}}
+	// Each row is copied out of the borrowed one into a layout widened
+	// with the CREATE variables.
+	var createVars []string
+	for _, cn := range st.CreateNodes {
+		if cn.Var != "" {
+			createVars = append(createVars, cn.Var)
+		}
+	}
+	rows := []query.Row{query.NewRow(query.NewLayout(createVars...))}
 	if st.Match != nil {
 		spec := *st.Match
 		spec.Return = nil
@@ -116,8 +124,14 @@ func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, er
 			return nil, err
 		}
 		rows = nil
+		var layout *query.Layout
 		if err := op.Run(plan.WithCancel(ctx, m), func(r query.Row) error {
-			rows = append(rows, r)
+			if layout == nil {
+				layout = r.Layout.With(createVars...)
+			}
+			row := query.NewRow(layout)
+			copy(row.Slots, r.Slots)
+			rows = append(rows, row)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -144,15 +158,15 @@ func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, er
 				if err != nil {
 					return nil, err
 				}
-				row[cn.Var] = query.NodeEntry(n)
+				row.Set(cn.Var, query.NodeEntry(n))
 			}
 		}
 		for _, ce := range st.CreateEdges {
-			from, ok := row[ce.FromVar]
+			from, ok := row.Get(ce.FromVar)
 			if !ok || from.Kind != query.EntryNode {
 				return nil, fmt.Errorf("gql: CREATE edge source %q is not a bound node", ce.FromVar)
 			}
-			to, ok := row[ce.ToVar]
+			to, ok := row.Get(ce.ToVar)
 			if !ok || to.Kind != query.EntryNode {
 				return nil, fmt.Errorf("gql: CREATE edge target %q is not a bound node", ce.ToVar)
 			}
@@ -162,7 +176,7 @@ func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, er
 			edgesCreated++
 		}
 		for _, set := range st.Sets {
-			ent, ok := row[set.Var]
+			ent, ok := row.Get(set.Var)
 			if !ok {
 				return nil, fmt.Errorf("gql: SET target %q is unbound", set.Var)
 			}
@@ -185,7 +199,7 @@ func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, er
 			propsSet++
 		}
 		for _, dv := range st.Deletes {
-			ent, ok := row[dv]
+			ent, ok := row.Get(dv)
 			if !ok {
 				return nil, fmt.Errorf("gql: DELETE target %q is unbound", dv)
 			}

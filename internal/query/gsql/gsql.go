@@ -651,10 +651,10 @@ type colOrRowProp struct{ name string }
 
 // Eval implements query.Expr.
 func (c colOrRowProp) Eval(r query.Row) (model.Value, error) {
-	if e, ok := r[c.name]; ok {
+	if e, ok := r.Get(c.name); ok {
 		return e.Scalar(), nil
 	}
-	if e, ok := r["row"]; ok {
+	if e, ok := r.Get("row"); ok {
 		return e.Prop(c.name), nil
 	}
 	return model.Null(), fmt.Errorf("gsql: ORDER BY column %q is not in the result", c.name)

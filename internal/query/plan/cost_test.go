@@ -407,7 +407,7 @@ func TestIntersectExpandMultiplicity(t *testing.T) {
 		},
 		ToVar: "c",
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	// For (a,b)=(a,b): 2*3=6; (a,a): 2*2=4; (b,b): 3*3=9; (b,a): 3*2=6.
 	// c has no out-edges, so pairs involving c contribute 0.
 	if len(rows) != 25 {
@@ -441,7 +441,7 @@ func TestIntersectExpandMatchesExpandChain(t *testing.T) {
 		ToVar: "c",
 	}
 	render := func(op Op) string {
-		rows := runAll(t, op, src)
+		rows := collectRows(t, op, src)
 		lines := make([]string, len(rows))
 		for i, r := range rows {
 			lines[i] = fmt.Sprintf("%d|%d|%d", r["a"].Node.ID, r["b"].Node.ID, r["c"].Node.ID)

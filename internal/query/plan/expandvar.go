@@ -29,30 +29,39 @@ func (x *ExpandVar) Run(src Source, emit func(query.Row) error) error {
 		return fmt.Errorf("expandvar: negative minimum length")
 	}
 	return x.Child.Run(src, func(row query.Row) error {
-		from, ok := row[x.FromVar]
-		if !ok || from.Kind != query.EntryNode {
-			return fmt.Errorf("expandvar: %q is not a bound node", x.FromVar)
+		from, err := boundNode("expandvar", row, x.FromVar)
+		if err != nil {
+			return err
 		}
-		bound, toBound := row[x.ToVar]
+		toSlot, err := slotOf("expandvar", row, x.ToVar)
+		if err != nil {
+			return err
+		}
+		target := row.Slots[toSlot]
+		if target.Kind != query.EntryUnset && target.Kind != query.EntryNode {
+			return nil // bound to a non-node: no neighbor matches
+		}
+		toBound, join := target.Kind == query.EntryNode, target.Node.ID
+		if !toBound {
+			defer func() { row.Slots[toSlot] = query.Entry{} }()
+		}
 
 		send := func(n model.Node) error {
 			if toBound {
-				if bound.Kind != query.EntryNode || bound.Node.ID != n.ID {
+				if join != n.ID {
 					return nil
 				}
+			} else {
+				row.Slots[toSlot] = query.NodeEntry(n)
 			}
-			out := row.Clone()
-			if !toBound {
-				out[x.ToVar] = query.NodeEntry(n)
-			}
-			return emit(out)
+			return emit(row)
 		}
 
 		// BFS by level over edges with the label.
-		visited := map[model.NodeID]bool{from.Node.ID: true}
-		frontier := []model.Node{from.Node}
+		visited := map[model.NodeID]bool{from.ID: true}
+		frontier := []model.Node{from}
 		if x.Min == 0 {
-			if err := send(from.Node); err != nil {
+			if err := send(from); err != nil {
 				return err
 			}
 		}

@@ -86,12 +86,17 @@ func (x *IntersectExpand) Run(src Source, emit func(query.Row) error) error {
 	lists := make([]neighborRuns, len(x.Inputs))
 	ptr := make([]int, len(x.Inputs))
 	return x.Child.Run(src, func(row query.Row) error {
+		toSlot, err := slotOf("intersect", row, x.ToVar)
+		if err != nil {
+			return err
+		}
+		defer func() { row.Slots[toSlot] = query.Entry{} }()
 		for i, in := range x.Inputs {
-			from, ok := row[in.FromVar]
-			if !ok || from.Kind != query.EntryNode {
-				return fmt.Errorf("intersect: %q is not a bound node", in.FromVar)
+			from, err := boundNode("intersect", row, in.FromVar)
+			if err != nil {
+				return err
 			}
-			r, err := fetch(from.Node.ID, in.Dir, in.Label)
+			r, err := fetch(from.ID, in.Dir, in.Label)
 			if err != nil {
 				return err
 			}
@@ -139,10 +144,9 @@ func (x *IntersectExpand) Run(src Source, emit func(query.Row) error) error {
 			if err != nil {
 				return err
 			}
+			row.Slots[toSlot] = query.NodeEntry(n)
 			for k := 0; k < mult; k++ {
-				out := row.Clone()
-				out[x.ToVar] = query.NodeEntry(n)
-				if err := emit(out); err != nil {
+				if err := emit(row); err != nil {
 					return err
 				}
 			}

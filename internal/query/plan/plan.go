@@ -35,6 +35,10 @@ func (UnindexedSource) IndexedNodes(string, string, model.Value, func(model.Node
 
 // Op is a push-based physical operator: it streams rows to emit. Returning
 // a non-nil error from emit aborts execution with that error.
+//
+// Rows are borrowed: a row handed to emit is valid only during the call,
+// because the operator that produced it overwrites the same slots for its
+// next binding. A consumer that keeps a row past the call keeps a Clone.
 type Op interface {
 	Run(src Source, emit func(query.Row) error) error
 	String() string
@@ -43,20 +47,93 @@ type Op interface {
 // errStop signals deliberate early termination (e.g. Limit reached).
 var errStop = fmt.Errorf("plan: stop")
 
+// slotOf returns the slot of a variable the operator binds; the plan's
+// pattern layout must have one.
+func slotOf(op string, r query.Row, name string) (int, error) {
+	i := r.Layout.Slot(name)
+	if i < 0 {
+		return -1, fmt.Errorf("%s: no slot for %q in the row layout", op, name)
+	}
+	return i, nil
+}
+
+// boundNode returns the node bound to name in r.
+func boundNode(op string, r query.Row, name string) (model.Node, error) {
+	e, ok := r.Get(name)
+	if !ok || e.Kind != query.EntryNode {
+		return model.Node{}, fmt.Errorf("%s: %q is not a bound node", op, name)
+	}
+	return e.Node, nil
+}
+
+// bindLayout fixes the pattern layout of the operator chain under root:
+// every variable a scan or expansion in the chain binds gets a slot, and the
+// chain's leaf scan allocates its one row with that layout. Project and
+// Aggregate outputs carry layouts of their own. Both planners call it; an
+// operator chain built by hand needs it before Run.
+func bindLayout(root Op) {
+	var vars []string
+	for op := root; op != nil; {
+		switch x := op.(type) {
+		case *NodeScan:
+			vars = append(vars, x.Var)
+			if x.Child == nil {
+				x.layout = query.NewLayout(vars...)
+				return
+			}
+			op = x.Child
+		case *Expand:
+			vars = append(vars, x.ToVar)
+			if x.EdgeVar != "" {
+				vars = append(vars, x.EdgeVar)
+			}
+			op = x.Child
+		case *ExpandVar:
+			vars = append(vars, x.ToVar)
+			op = x.Child
+		case *IntersectExpand:
+			vars = append(vars, x.ToVar)
+			op = x.Child
+		case *Filter:
+			op = x.Child
+		case *Project:
+			op = x.Child
+		case *Aggregate:
+			op = x.Child
+		case *Distinct:
+			op = x.Child
+		case *OrderBy:
+			op = x.Child
+		case *Limit:
+			op = x.Child
+		default:
+			return
+		}
+	}
+}
+
 // --- NodeScan ---
 
 // NodeScan binds Var to every node matching Label and PropEq. With a Child,
-// it expands each input row (cartesian semantics); without, it is a leaf.
+// it expands each input row (cartesian semantics); without, it is a leaf
+// and owns the row every operator above it binds into.
 type NodeScan struct {
 	Child  Op // may be nil
 	Var    string
 	Label  string
 	PropEq model.Properties // all must match
+
+	layout *query.Layout // leaf only; set by bindLayout
 }
 
 // Run implements Op.
 func (s *NodeScan) Run(src Source, emit func(query.Row) error) error {
-	scanInto := func(base query.Row) error {
+	scanInto := func(row query.Row) error {
+		slot, err := slotOf("nodescan", row, s.Var)
+		if err != nil {
+			return err
+		}
+		defer func() { row.Slots[slot] = query.Entry{} }()
 		send := func(n model.Node) error {
 			if s.Label != "" && n.Label != s.Label {
 				return nil
@@ -66,8 +143,7 @@ func (s *NodeScan) Run(src Source, emit func(query.Row) error) error {
 					return nil
 				}
 			}
-			row := base.Clone()
-			row[s.Var] = query.NodeEntry(n)
+			row.Slots[slot] = query.NodeEntry(n)
 			return emit(row)
 		}
 		// Try one indexed property first.
@@ -106,7 +182,7 @@ func (s *NodeScan) Run(src Source, emit func(query.Row) error) error {
 			}
 		}
 		var innerErr error
-		err := src.Nodes(func(n model.Node) bool {
+		err = src.Nodes(func(n model.Node) bool {
 			if e := send(n); e != nil {
 				innerErr = e
 				return false
@@ -119,7 +195,7 @@ func (s *NodeScan) Run(src Source, emit func(query.Row) error) error {
 		return innerErr
 	}
 	if s.Child == nil {
-		return scanInto(query.Row{})
+		return scanInto(query.NewRow(s.layout))
 	}
 	return s.Child.Run(src, scanInto)
 }
@@ -150,29 +226,45 @@ type Expand struct {
 // Run implements Op.
 func (x *Expand) Run(src Source, emit func(query.Row) error) error {
 	return x.Child.Run(src, func(row query.Row) error {
-		from, ok := row[x.FromVar]
-		if !ok || from.Kind != query.EntryNode {
-			return fmt.Errorf("expand: %q is not a bound node", x.FromVar)
+		from, err := boundNode("expand", row, x.FromVar)
+		if err != nil {
+			return err
 		}
-		bound, toBound := row[x.ToVar]
+		toSlot, err := slotOf("expand", row, x.ToVar)
+		if err != nil {
+			return err
+		}
+		edgeSlot := -1
+		if x.EdgeVar != "" {
+			if edgeSlot, err = slotOf("expand", row, x.EdgeVar); err != nil {
+				return err
+			}
+			defer func() { row.Slots[edgeSlot] = query.Entry{} }()
+		}
+		target := row.Slots[toSlot]
+		if target.Kind != query.EntryUnset && target.Kind != query.EntryNode {
+			return nil // bound to a non-node: no neighbor matches
+		}
+		toBound, join := target.Kind == query.EntryNode, target.Node.ID
+		if !toBound {
+			defer func() { row.Slots[toSlot] = query.Entry{} }()
+		}
 		var innerErr error
-		err := src.Neighbors(from.Node.ID, x.Dir, func(e model.Edge, n model.Node) bool {
+		err = src.Neighbors(from.ID, x.Dir, func(e model.Edge, n model.Node) bool {
 			if x.Label != "" && e.Label != x.Label {
 				return true
 			}
 			if toBound {
-				if bound.Kind != query.EntryNode || bound.Node.ID != n.ID {
+				if join != n.ID {
 					return true
 				}
+			} else {
+				row.Slots[toSlot] = query.NodeEntry(n)
 			}
-			out := row.Clone()
-			if !toBound {
-				out[x.ToVar] = query.NodeEntry(n)
+			if edgeSlot >= 0 {
+				row.Slots[edgeSlot] = query.EdgeEntry(e)
 			}
-			if x.EdgeVar != "" {
-				out[x.EdgeVar] = query.EdgeEntry(e)
-			}
-			if err := emit(out); err != nil {
+			if err := emit(row); err != nil {
 				innerErr = err
 				return false
 			}
@@ -229,16 +321,31 @@ type Project struct {
 	Items []Item
 }
 
-// Run implements Op.
+// outputRow returns a row with one slot per item name (repeated names share
+// a slot; the last item wins) and each item's slot.
+func outputRow(names []string) (query.Row, []int) {
+	out := query.NewRow(query.NewLayout(names...))
+	slots := make([]int, len(names))
+	for i, n := range names {
+		slots[i] = out.Layout.Slot(n)
+	}
+	return out, slots
+}
+
+// Run implements Op. It fills one output row per Run and lends it to emit.
 func (p *Project) Run(src Source, emit func(query.Row) error) error {
+	names := make([]string, len(p.Items))
+	for i, it := range p.Items {
+		names[i] = it.Name
+	}
+	out, slots := outputRow(names)
 	return p.Child.Run(src, func(row query.Row) error {
-		out := make(query.Row, len(p.Items))
-		for _, it := range p.Items {
+		for i, it := range p.Items {
 			v, err := it.Expr.Eval(row)
 			if err != nil {
 				return err
 			}
-			out[it.Name] = query.ValueEntry(v)
+			out.Slots[slots[i]] = query.ValueEntry(v)
 		}
 		return emit(out)
 	})
@@ -269,45 +376,54 @@ type Aggregate struct {
 	Aggs    []AggItem
 }
 
-type aggState struct {
-	keyVals []model.Value
-	count   int
-	sums    []float64
-	mins    []model.Value
-	maxs    []model.Value
-	counts  []int
+// aggAcc folds one aggregate of one group.
+type aggAcc struct {
+	count    int
+	sum      float64
+	min, max model.Value
 }
 
-// Run implements Op.
+// Run implements Op. Groups live in flat slices indexed by first-seen
+// order, and grouping reuses one key buffer, so a row that joins an
+// existing group allocates nothing and a new group costs one map key.
 func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
-	groups := map[string]*aggState{}
-	var order []string
+	nk, na := len(a.GroupBy), len(a.Aggs)
+	fns := make([]string, na)
+	for i, ag := range a.Aggs {
+		fns[i] = strings.ToLower(ag.Fn)
+	}
+	groups := map[string]int{}
+	var (
+		rowCounts []int         // rows per group
+		keyVals   []model.Value // nk per group
+		accs      []aggAcc      // na per group
+		kb        []byte
+	)
+	newGroup := func() int {
+		rowCounts = append(rowCounts, 0)
+		accs = append(accs, make([]aggAcc, na)...)
+		return len(rowCounts) - 1
+	}
+	key := make([]model.Value, nk)
 	err := a.Child.Run(src, func(row query.Row) error {
-		keyVals := make([]model.Value, len(a.GroupBy))
-		var kb []byte
+		kb = kb[:0]
 		for i, g := range a.GroupBy {
 			v, err := g.Expr.Eval(row)
 			if err != nil {
 				return err
 			}
-			keyVals[i] = v
+			key[i] = v
 			kb = v.EncodeKey(kb)
 			kb = append(kb, 0xFF)
 		}
-		key := string(kb)
-		st, ok := groups[key]
+		gi, ok := groups[string(kb)]
 		if !ok {
-			st = &aggState{
-				keyVals: keyVals,
-				sums:    make([]float64, len(a.Aggs)),
-				mins:    make([]model.Value, len(a.Aggs)),
-				maxs:    make([]model.Value, len(a.Aggs)),
-				counts:  make([]int, len(a.Aggs)),
-			}
-			groups[key] = st
-			order = append(order, key)
+			gi = newGroup()
+			groups[string(kb)] = gi
+			keyVals = append(keyVals, key...)
 		}
-		st.count++
+		rowCounts[gi]++
+		acc := accs[gi*na : (gi+1)*na]
 		for i, ag := range a.Aggs {
 			var v model.Value
 			if ag.Arg != nil {
@@ -317,18 +433,18 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 					return err
 				}
 			}
-			if v.IsNull() && strings.ToLower(ag.Fn) != "count" {
+			if v.IsNull() && fns[i] != "count" {
 				continue
 			}
-			st.counts[i]++
+			acc[i].count++
 			if f, ok := v.AsFloat(); ok {
-				st.sums[i] += f
+				acc[i].sum += f
 			}
-			if st.mins[i].IsNull() || v.Compare(st.mins[i]) < 0 {
-				st.mins[i] = v
+			if acc[i].min.IsNull() || v.Compare(acc[i].min) < 0 {
+				acc[i].min = v
 			}
-			if st.maxs[i].IsNull() || v.Compare(st.maxs[i]) > 0 {
-				st.maxs[i] = v
+			if acc[i].max.IsNull() || v.Compare(acc[i].max) > 0 {
+				acc[i].max = v
 			}
 		}
 		return nil
@@ -337,43 +453,43 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 		return err
 	}
 	// A global aggregate over zero rows still yields one output row.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
-		st := &aggState{
-			sums:   make([]float64, len(a.Aggs)),
-			mins:   make([]model.Value, len(a.Aggs)),
-			maxs:   make([]model.Value, len(a.Aggs)),
-			counts: make([]int, len(a.Aggs)),
-		}
-		groups[""] = st
-		order = append(order, "")
+	if len(rowCounts) == 0 && nk == 0 {
+		newGroup()
 	}
-	for _, key := range order {
-		st := groups[key]
-		out := query.Row{}
-		for i, g := range a.GroupBy {
-			out[g.Name] = query.ValueEntry(st.keyVals[i])
+	names := make([]string, 0, nk+na)
+	for _, g := range a.GroupBy {
+		names = append(names, g.Name)
+	}
+	for _, ag := range a.Aggs {
+		names = append(names, ag.Name)
+	}
+	out, slots := outputRow(names)
+	for gi, n := range rowCounts {
+		for i := 0; i < nk; i++ {
+			out.Slots[slots[i]] = query.ValueEntry(keyVals[gi*nk+i])
 		}
 		for i, ag := range a.Aggs {
+			acc := accs[gi*na+i]
 			var v model.Value
-			switch strings.ToLower(ag.Fn) {
+			switch fns[i] {
 			case "count":
-				v = model.Int(int64(st.count))
+				v = model.Int(int64(n))
 			case "sum":
-				v = model.Float(st.sums[i])
+				v = model.Float(acc.sum)
 			case "avg":
-				if st.counts[i] == 0 {
+				if acc.count == 0 {
 					v = model.Null()
 				} else {
-					v = model.Float(st.sums[i] / float64(st.counts[i]))
+					v = model.Float(acc.sum / float64(acc.count))
 				}
 			case "min":
-				v = st.mins[i]
+				v = acc.min
 			case "max":
-				v = st.maxs[i]
+				v = acc.max
 			default:
 				return fmt.Errorf("unknown aggregate %q", ag.Fn)
 			}
-			out[ag.Name] = query.ValueEntry(v)
+			out.Slots[slots[nk+i]] = query.ValueEntry(v)
 		}
 		if err := emit(out); err != nil {
 			return err
@@ -395,49 +511,97 @@ type OrderKey struct {
 	Desc bool
 }
 
-// OrderBy materializes and sorts rows.
+// OrderBy materializes and sorts rows; ties keep arrival order. With TopK
+// > 0 only the first TopK rows of that order are needed — applyModifiers
+// sets it to Offset+Limit from the query text — so OrderBy keeps them in a
+// bounded heap instead of sorting every row. The heap orders by (keys,
+// arrival), which is what makes it return exactly the stable sort's prefix.
 type OrderBy struct {
 	Child Op
 	Keys  []OrderKey
+	TopK  int // 0 = all rows
+}
+
+// sortItem is one kept row with its evaluated keys and arrival number.
+type sortItem struct {
+	row  query.Row
+	keys []model.Value
+	seq  int
+}
+
+// before reports whether a sorts before b: by keys, then by arrival.
+func (o *OrderBy) before(a, b *sortItem) bool {
+	for k := range o.Keys {
+		c := a.keys[k].Compare(b.keys[k])
+		if c == 0 {
+			continue
+		}
+		if o.Keys[k].Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return a.seq < b.seq
+}
+
+// siftDown restores the heap below i, where every parent sorts after its
+// children, so h[0] is the last of the kept rows.
+func (o *OrderBy) siftDown(h []sortItem, i int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && o.before(&h[last], &h[c]) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // Run implements Op.
 func (o *OrderBy) Run(src Source, emit func(query.Row) error) error {
-	type sortable struct {
-		row  query.Row
-		keys []model.Value
-	}
-	var rows []sortable
+	var items []sortItem
+	cand := sortItem{keys: make([]model.Value, len(o.Keys))}
 	err := o.Child.Run(src, func(row query.Row) error {
-		s := sortable{row: row, keys: make([]model.Value, len(o.Keys))}
 		for i, k := range o.Keys {
 			v, err := k.Expr.Eval(row)
 			if err != nil {
 				return err
 			}
-			s.keys[i] = v
+			cand.keys[i] = v
 		}
-		rows = append(rows, s)
+		cand.seq++
+		if o.TopK <= 0 || len(items) < o.TopK {
+			items = append(items, sortItem{row: row.Clone(), keys: append([]model.Value(nil), cand.keys...), seq: cand.seq})
+			if len(items) == o.TopK {
+				for i := len(items)/2 - 1; i >= 0; i-- {
+					o.siftDown(items, i)
+				}
+			}
+			return nil
+		}
+		// Full: the row replaces the last kept one if it sorts before it,
+		// reusing that item's buffers.
+		if !o.before(&cand, &items[0]) {
+			return nil
+		}
+		last := &items[0]
+		last.row = query.Row{Layout: row.Layout, Slots: append(last.row.Slots[:0], row.Slots...)}
+		copy(last.keys, cand.keys)
+		last.seq = cand.seq
+		o.siftDown(items, 0)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k := range o.Keys {
-			c := rows[i].keys[k].Compare(rows[j].keys[k])
-			if c == 0 {
-				continue
-			}
-			if o.Keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for _, s := range rows {
-		if err := emit(s.row); err != nil {
+	sort.Slice(items, func(i, j int) bool { return o.before(&items[i], &items[j]) })
+	for i := range items {
+		if err := emit(items[i].row); err != nil {
 			return err
 		}
 	}
@@ -483,33 +647,27 @@ func (l *Limit) Run(src Source, emit func(query.Row) error) error {
 // String implements Op.
 func (l *Limit) String() string { return fmt.Sprintf("%s -> Limit(%d, %d)", l.Child, l.Offset, l.N) }
 
-// Distinct suppresses duplicate rows (by scalar encoding of all bindings).
+// Distinct suppresses duplicate rows, keyed by the scalar encoding of every
+// slot. All rows reaching one Distinct come from one producer and so share
+// one layout, which makes slot order a consistent key order.
 type Distinct struct {
 	Child Op
-	Cols  []string // columns defining identity; empty = all, sorted
 }
 
 // Run implements Op.
 func (d *Distinct) Run(src Source, emit func(query.Row) error) error {
 	seen := map[string]bool{}
+	var kb []byte
 	return d.Child.Run(src, func(row query.Row) error {
-		cols := d.Cols
-		if len(cols) == 0 {
-			for k := range row {
-				cols = append(cols, k)
-			}
-			sort.Strings(cols)
-		}
-		var kb []byte
-		for _, c := range cols {
-			kb = row[c].Scalar().EncodeKey(kb)
+		kb = kb[:0]
+		for _, e := range row.Slots {
+			kb = e.Scalar().EncodeKey(kb)
 			kb = append(kb, 0xFF)
 		}
-		key := string(kb)
-		if seen[key] {
+		if seen[string(kb)] {
 			return nil
 		}
-		seen[key] = true
+		seen[string(kb)] = true
 		return emit(row)
 	})
 }

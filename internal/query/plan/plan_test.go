@@ -32,11 +32,21 @@ func people(t *testing.T) (Source, map[string]model.NodeID) {
 	return UnindexedSource{g}, ids
 }
 
-func runAll(t *testing.T, op Op, src Source) []query.Row {
+// collectRows runs op and keeps every row it emits. Operators lend a row
+// only for the duration of emit, so each one is copied out, into a map from
+// variable name to binding (unset slots are left out).
+func collectRows(t *testing.T, op Op, src Source) []map[string]query.Entry {
 	t.Helper()
-	var rows []query.Row
+	bindLayout(op)
+	var rows []map[string]query.Entry
 	if err := op.Run(src, func(r query.Row) error {
-		rows = append(rows, r)
+		m := make(map[string]query.Entry, len(r.Slots))
+		for i, name := range r.Layout.Names() {
+			if r.Slots[i].Kind != query.EntryUnset {
+				m[name] = r.Slots[i]
+			}
+		}
+		rows = append(rows, m)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -46,15 +56,15 @@ func runAll(t *testing.T, op Op, src Source) []query.Row {
 
 func TestNodeScanLabelAndProps(t *testing.T) {
 	src, _ := people(t)
-	rows := runAll(t, &NodeScan{Var: "p", Label: "Person"}, src)
+	rows := collectRows(t, &NodeScan{Var: "p", Label: "Person"}, src)
 	if len(rows) != 3 {
 		t.Errorf("Person scan = %d rows", len(rows))
 	}
-	rows = runAll(t, &NodeScan{Var: "p", Label: "Person", PropEq: model.Props("name", "bob")}, src)
+	rows = collectRows(t, &NodeScan{Var: "p", Label: "Person", PropEq: model.Props("name", "bob")}, src)
 	if len(rows) != 1 {
 		t.Errorf("prop scan = %d rows", len(rows))
 	}
-	rows = runAll(t, &NodeScan{Var: "p"}, src)
+	rows = collectRows(t, &NodeScan{Var: "p"}, src)
 	if len(rows) != 4 {
 		t.Errorf("full scan = %d rows", len(rows))
 	}
@@ -63,20 +73,20 @@ func TestNodeScanLabelAndProps(t *testing.T) {
 func TestExpandDirections(t *testing.T) {
 	src, ids := people(t)
 	base := &NodeScan{Var: "a", Label: "Person", PropEq: model.Props("name", "ada")}
-	out := runAll(t, &Expand{Child: base, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.Out}, src)
+	out := collectRows(t, &Expand{Child: base, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.Out}, src)
 	if len(out) != 1 || out[0]["b"].Node.ID != ids["bob"] {
 		t.Errorf("out expand = %v", out)
 	}
-	in := runAll(t, &Expand{Child: &NodeScan{Var: "a", PropEq: model.Props("name", "bob")}, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.In}, src)
+	in := collectRows(t, &Expand{Child: &NodeScan{Var: "a", PropEq: model.Props("name", "bob")}, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.In}, src)
 	if len(in) != 1 || in[0]["b"].Node.ID != ids["ada"] {
 		t.Errorf("in expand = %v", in)
 	}
-	both := runAll(t, &Expand{Child: &NodeScan{Var: "a", PropEq: model.Props("name", "bob")}, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.Both}, src)
+	both := collectRows(t, &Expand{Child: &NodeScan{Var: "a", PropEq: model.Props("name", "bob")}, FromVar: "a", ToVar: "b", Label: "knows", Dir: model.Both}, src)
 	if len(both) != 2 {
 		t.Errorf("both expand = %d", len(both))
 	}
 	// Edge variable binding.
-	ev := runAll(t, &Expand{Child: base, FromVar: "a", EdgeVar: "e", ToVar: "b", Label: "knows", Dir: model.Out}, src)
+	ev := collectRows(t, &Expand{Child: base, FromVar: "a", EdgeVar: "e", ToVar: "b", Label: "knows", Dir: model.Out}, src)
 	if ev[0]["e"].Edge.Label != "knows" {
 		t.Error("edge var not bound")
 	}
@@ -96,7 +106,7 @@ func TestExpandJoinCheck(t *testing.T) {
 		},
 		FromVar: "a", ToVar: "b", Label: "knows", Dir: model.Out,
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	// a=ada, c=zurich, b in {ada, cam}; ada knows neither of those.
 	if len(rows) != 0 {
 		t.Errorf("join rows = %d", len(rows))
@@ -116,7 +126,7 @@ func TestFilterProjectLimit(t *testing.T) {
 			},
 		},
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -144,7 +154,7 @@ func TestOrderByAndOffset(t *testing.T) {
 	}
 	// Project drops the node binding, so re-order on projected column.
 	op.Child.(*OrderBy).Keys = []OrderKey{{Expr: query.Var{Name: "age"}, Desc: true}}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -167,7 +177,7 @@ func TestAggregateGlobalAndGrouped(t *testing.T) {
 			{Name: "sumAge", Fn: "sum", Arg: query.Var{Name: "p", Prop: "age"}},
 		},
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -190,7 +200,7 @@ func TestAggregateGlobalAndGrouped(t *testing.T) {
 		GroupBy: []Item{{Name: "lbl", Expr: labelExpr{"p"}}},
 		Aggs:    []AggItem{{Name: "n", Fn: "count"}},
 	}
-	rows2 := runAll(t, op2, src)
+	rows2 := collectRows(t, op2, src)
 	if len(rows2) != 2 {
 		t.Errorf("groups = %d", len(rows2))
 	}
@@ -200,7 +210,8 @@ func TestAggregateGlobalAndGrouped(t *testing.T) {
 type labelExpr struct{ v string }
 
 func (l labelExpr) Eval(r query.Row) (model.Value, error) {
-	return model.Str(r[l.v].Node.Label), nil
+	e, _ := r.Get(l.v)
+	return model.Str(e.Node.Label), nil
 }
 func (l labelExpr) String() string { return "label(" + l.v + ")" }
 
@@ -210,7 +221,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		Child: &NodeScan{Var: "p", Label: "Ghost"},
 		Aggs:  []AggItem{{Name: "n", Fn: "count"}},
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	if len(rows) != 1 || !rows[0]["n"].Value.Equal(model.Int(0)) {
 		t.Errorf("empty aggregate = %v", rows)
 	}
@@ -228,7 +239,7 @@ func TestDistinctOp(t *testing.T) {
 			},
 		},
 	}
-	rows := runAll(t, op, src)
+	rows := collectRows(t, op, src)
 	if len(rows) != 1 {
 		t.Errorf("distinct rows = %d", len(rows))
 	}

@@ -185,8 +185,10 @@ func prepare(spec *MatchSpec) error {
 // projection and result modifiers, in the fixed order every planner shares:
 // Filter, Aggregate/Project, Distinct, OrderBy, Limit/Offset. Keeping this
 // in one place is what makes reordered plans answer-equivalent — only the
-// pattern subtree differs between planners.
+// pattern subtree differs between planners. It also fixes the pattern's row
+// layout and hands OrderBy its top-k bound, Offset+Limit.
 func applyModifiers(root Op, spec *MatchSpec) Op {
+	bindLayout(root)
 	if spec.Where != nil {
 		root = &Filter{Child: root, Cond: spec.Where}
 	}
@@ -199,7 +201,11 @@ func applyModifiers(root Op, spec *MatchSpec) Op {
 		root = &Distinct{Child: root}
 	}
 	if len(spec.OrderBy) > 0 {
-		root = &OrderBy{Child: root, Keys: spec.OrderBy}
+		ob := &OrderBy{Child: root, Keys: spec.OrderBy}
+		if spec.Limit >= 0 {
+			ob.TopK = spec.Offset + spec.Limit
+		}
+		root = ob
 	}
 	if spec.Limit >= 0 || spec.Offset > 0 {
 		n := spec.Limit
@@ -241,7 +247,7 @@ type labelIs struct {
 
 // Eval implements query.Expr.
 func (l labelIs) Eval(r query.Row) (model.Value, error) {
-	e, ok := r[l.v]
+	e, ok := r.Get(l.v)
 	if !ok {
 		return model.Null(), fmt.Errorf("unbound variable %q", l.v)
 	}

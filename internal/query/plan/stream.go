@@ -9,8 +9,9 @@ import (
 // for every output row in execution order. Either call may return an error
 // to stop production — the executor propagates it unchanged, so a sink can
 // abort a stream (client disconnect, chunk-budget exhausted) without the
-// operator tree finishing its scan. Implementations must not retain the
-// slices they are handed past the call.
+// operator tree finishing its scan. Stream allocates every vals slice it
+// hands to Row afresh, and the slice then belongs to the sink, which may
+// keep it; Replay hands over the Result's own row slices.
 type Sink interface {
 	Cols(cols []string) error
 	Row(vals []model.Value) error
@@ -24,10 +25,20 @@ func Stream(op Op, src Source, cols []string, sink Sink) error {
 	if err := sink.Cols(cols); err != nil {
 		return err
 	}
+	var layout *query.Layout
+	slots := make([]int, len(cols))
 	return op.Run(src, func(row query.Row) error {
+		if row.Layout != layout {
+			layout = row.Layout
+			for i, c := range cols {
+				slots[i] = layout.Slot(c)
+			}
+		}
 		out := make([]model.Value, len(cols))
-		for i, c := range cols {
-			out[i] = row[c].Scalar()
+		for i, s := range slots {
+			if s >= 0 {
+				out[i] = row.Slots[s].Scalar()
+			}
 		}
 		return sink.Row(out)
 	})

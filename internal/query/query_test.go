@@ -183,11 +183,10 @@ func TestExprDivisionByZero(t *testing.T) {
 }
 
 func TestExprVarsAndProps(t *testing.T) {
-	row := Row{
-		"a": NodeEntry(model.Node{ID: 7, Label: "P", Props: model.Props("name", "ada", "age", 36)}),
-		"e": EdgeEntry(model.Edge{ID: 3, Label: "knows", Props: model.Props("w", 0.5)}),
-		"v": ValueEntry(model.Int(5)),
-	}
+	row := NewRow(NewLayout("a", "e", "v", "unset"))
+	row.Set("a", NodeEntry(model.Node{ID: 7, Label: "P", Props: model.Props("name", "ada", "age", 36)}))
+	row.Set("e", EdgeEntry(model.Edge{ID: 3, Label: "knows", Props: model.Props("w", 0.5)}))
+	row.Set("v", ValueEntry(model.Int(5)))
 	if got := evalStr(t, "a.name", row); !got.Equal(model.Str("ada")) {
 		t.Errorf("a.name = %v", got)
 	}
@@ -205,10 +204,12 @@ func TestExprVarsAndProps(t *testing.T) {
 	if got := evalStr(t, "a.missing", row); !got.IsNull() {
 		t.Errorf("a.missing = %v", got)
 	}
-	// Unbound var errors.
-	e, _ := ParseExprString("zz")
-	if _, err := e.Eval(row); err == nil {
-		t.Error("unbound var should fail")
+	// Unbound var errors, whether the layout lacks it or its slot is unset.
+	for _, name := range []string{"zz", "unset"} {
+		e, _ := ParseExprString(name)
+		if _, err := e.Eval(row); err == nil {
+			t.Errorf("unbound var %s should fail", name)
+		}
 	}
 }
 
@@ -241,11 +242,32 @@ func TestExprStrings(t *testing.T) {
 }
 
 func TestRowClone(t *testing.T) {
-	r := Row{"a": ValueEntry(model.Int(1))}
+	r := NewRow(NewLayout("a", "b"))
+	r.Set("a", ValueEntry(model.Int(1)))
 	c := r.Clone()
-	c["b"] = ValueEntry(model.Int(2))
-	if _, ok := r["b"]; ok {
+	c.Set("b", ValueEntry(model.Int(2)))
+	if _, ok := r.Get("b"); ok {
 		t.Error("Clone should be independent")
+	}
+	if e, ok := c.Get("a"); !ok || !e.Value.Equal(model.Int(1)) {
+		t.Error("Clone should copy bound slots")
+	}
+}
+
+func TestLayout(t *testing.T) {
+	l := NewLayout("a", "b", "a")
+	if got := l.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("NewLayout dedup = %v", got)
+	}
+	if l.With("b") != l {
+		t.Error("With of present names should return the layout itself")
+	}
+	w := l.With("c", "a")
+	if w.Slot("c") != 2 || w.Slot("a") != 0 || l.Slot("c") != -1 {
+		t.Errorf("With = %v, base = %v", w.Names(), l.Names())
+	}
+	if (*Layout)(nil).Slot("a") != -1 || (Row{}).Set("a", ValueEntry(model.Int(1))) {
+		t.Error("the empty layout has no slots")
 	}
 }
 
