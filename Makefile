@@ -52,12 +52,14 @@ race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/report/... ./internal/enginetest/diff/...
 
 # The MVCC snapshot surface under the race detector: the versioned
-# adjacency store, both store-level acquire paths, the engine
-# snapshot/cancellation suite, and the writer-during-long-read twin
-# proof. See DESIGN.md "Snapshot & versioning contract".
+# adjacency store, both store-level acquire paths, the pinned read source
+# of one statement, the engine snapshot/cancellation suite, the
+# writer-during-long-read twin proof, the pinned-vs-live plan twins and
+# the sink-writes-mid-stream isolation proof. See DESIGN.md "Snapshot &
+# versioning contract".
 race-snapshots:
-	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
-	$(GO) test -race ./internal/enginetest/diff/ -run TestPinnedSnapshotSurvivesWriterTwins -count=1
+	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/propcore/ ./internal/engines/suite/
+	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPinnedSnapshotSurvivesWriterTwins|TestPinnedPlanTwins|TestPinnedReadIsolation' -count=1
 
 # The planner surface under the race detector: cardinality statistics
 # (the singleflight rebuild included), the cost-based/WCO planner, the

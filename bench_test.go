@@ -661,15 +661,24 @@ func BenchmarkPlanStatsAfterWrite(b *testing.B) {
 // BenchmarkExecTraverse is the executor's operator-level ledger: the three
 // traverse shapes of the serving benchmark (2-hop, triangle, grouped 2-hop
 // with ORDER BY … LIMIT) compiled once per start node and streamed over an
-// in-memory 10k-node R-MAT neograph. It reports the cost per output row:
-// ns/row and allocs/row.
+// in-memory 10k-node R-MAT neograph. Like a served read statement, every
+// execution runs on a view pinned for it (plan.Pin) and released after its
+// last row. It reports the cost per output row: ns/row and allocs/row.
 func BenchmarkExecTraverse(b *testing.B) {
 	e := openEngine(b, "neograph")
 	seedRMAT(b, e, 10000)
 	if err := e.(interface{ CreateIndex(string) error }).CreateIndex("idx"); err != nil {
 		b.Fatal(err)
 	}
-	src := e.(plan.Source)
+	live := e.(plan.Source)
+	stream := func(op plan.Op, cols []string, sink plan.Sink) error {
+		src, release, err := plan.Pin(live)
+		if err != nil {
+			return err
+		}
+		defer release()
+		return plan.Stream(op, src, cols, sink)
+	}
 	shapes := []struct{ name, stmt string }{
 		{"hop2", `MATCH (a:N {idx: %d})-[:link]->(b)-[:link]->(c) RETURN b.idx AS b, c.idx AS c`},
 		{"triangle", `MATCH (a:N {idx: %d})-[:link]->(b)-[:link]->(c), (a)-[:link]->(c) RETURN b.idx AS b, c.idx AS c`},
@@ -689,12 +698,12 @@ func BenchmarkExecTraverse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				op, err := plan.CompileFor(st.Match, src)
+				op, err := plan.CompileFor(st.Match, live)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var n rowCounter
-				if err := plan.Stream(op, src, st.Columns(), &n); err != nil {
+				if err := stream(op, st.Columns(), &n); err != nil {
 					b.Fatal(err)
 				}
 				if n > 0 {
@@ -707,7 +716,7 @@ func BenchmarkExecTraverse(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := plans[i%len(plans)]
-				if err := plan.Stream(p.op, src, p.cols, &rows); err != nil {
+				if err := stream(p.op, p.cols, &rows); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,7 +24,7 @@ package adj
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -304,7 +304,7 @@ func (s *Snapshot) SortedNeighborIDs(id model.NodeID, dir model.Direction, label
 	if dir == model.In || dir == model.Both {
 		blk.in.forEach(slot, func(eid model.EdgeID) bool { return collect(eid, false) })
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 

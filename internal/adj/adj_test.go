@@ -408,7 +408,7 @@ func TestRowsRoundTrip(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = model.Node{ID: model.NodeID(i + 1)}
 	}
-	scratch := []model.EdgeID{}
+	var scratch rowScratch
 	r, err := encodeRows(func(id model.NodeID) ([]model.EdgeID, error) {
 		return sets[id-1], nil
 	}, nodes, &scratch)
@@ -539,5 +539,106 @@ func TestBlockHandles(t *testing.T) {
 	s2.EdgeBlocks(func(b EdgeBlock) { memos = append(memos, b.Memo().Load()) })
 	if fmt.Sprint(memos) != "[1 <nil> edges]" {
 		t.Fatalf("memos after a write to block 2 = %v, want [1 <nil> edges]", memos)
+	}
+}
+
+// TestDirectoryRank checks both directory layouts against the position of
+// each local ID in the sorted present list, over contiguous runs (the O(1)
+// varint path), runs with gaps and single entries, for every local ID of a
+// block, present or not.
+func TestDirectoryRank(t *testing.T) {
+	span := func(lo, hi int) []uint16 {
+		var out []uint16
+		for l := lo; l < hi; l++ {
+			out = append(out, uint16(l))
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		locals []uint16
+		run    bool
+	}{
+		{"full", span(0, blockSize), true},
+		{"block0", span(1, blockSize), true},
+		{"tail", span(0, 37), true},
+		{"middle", span(100, 300), true},
+		{"single", []uint16{511}, true},
+		{"gap", append(span(1, 200), span(201, blockSize)...), false},
+		{"sparse", []uint16{3, 9, 64, 65, 400}, false},
+	}
+	for _, c := range cases {
+		want := map[uint32]int{}
+		for i, l := range c.locals {
+			want[uint32(l)] = i
+		}
+		for _, layout := range []Layout{LayoutVarint, LayoutBitmap} {
+			d := makeDirectory(layout, c.locals)
+			if layout == LayoutVarint && d.run != c.run {
+				t.Errorf("%s: run = %v, want %v", c.name, d.run, c.run)
+			}
+			for l := uint32(0); l < blockSize; l++ {
+				slot, ok := d.rank(l)
+				w, present := want[l]
+				if ok != present || (ok && slot != w) {
+					t.Fatalf("%s layout %d: rank(%d) = %d, %v; want %d, %v", c.name, layout, l, slot, ok, w, present)
+				}
+			}
+		}
+	}
+}
+
+// degreeSource is a Source over one full node block whose nodes each have
+// deg out- and in-edges, listed in descending order so the builder has to
+// sort them. Its incident lists exist up front, as a store's do, so
+// rendering the block is the only thing that allocates.
+type degreeSource struct {
+	nodes []model.Node
+	lists [][]model.EdgeID
+}
+
+func newDegreeSource(deg int) *degreeSource {
+	s := &degreeSource{}
+	for id := 1; id < blockSize; id++ {
+		s.nodes = append(s.nodes, model.Node{ID: model.NodeID(id), Label: "x"})
+		var l []model.EdgeID
+		for k := deg; k > 0; k-- {
+			l = append(l, model.EdgeID(id*deg+k))
+		}
+		s.lists = append(s.lists, l)
+	}
+	return s
+}
+
+func (s *degreeSource) MaxNodeID() (model.NodeID, error) { return model.NodeID(len(s.nodes)), nil }
+func (s *degreeSource) MaxEdgeID() (model.EdgeID, error) { return 0, nil }
+
+func (s *degreeSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
+	return s.nodes[id-1], true, nil
+}
+
+func (s *degreeSource) EdgeByID(model.EdgeID) (model.Edge, bool, error) {
+	return model.Edge{}, false, nil
+}
+
+func (s *degreeSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) { return s.lists[id-1], nil }
+func (s *degreeSource) InEdges(id model.NodeID) ([]model.EdgeID, error)  { return s.lists[id-1], nil }
+
+// TestBlockRenderAllocsFlat: re-rendering a node block costs the same
+// allocations whether its nodes have 1 or 64 edges each — rows are sized
+// before they are encoded and sorting does not allocate.
+func TestBlockRenderAllocsFlat(t *testing.T) {
+	allocs := func(deg int) float64 {
+		src := newDegreeSource(deg)
+		return testing.AllocsPerRun(10, func() {
+			blk, err := buildNodeBlock(src, LayoutVarint, 0)
+			if err != nil || blk.out.degree(0) != deg {
+				t.Fatalf("render: %v", err)
+			}
+		})
+	}
+	small, large := allocs(1), allocs(64)
+	if large > small {
+		t.Fatalf("block render allocs grow with edge count: %v at degree 1, %v at degree 64", small, large)
 	}
 }

@@ -2,7 +2,7 @@ package adj
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"gdbm/internal/model"
 )
@@ -122,11 +122,11 @@ func buildNodeBlock(src Source, layout Layout, b uint32) (*nodeBlock, error) {
 	}
 	blk.dir = makeDirectory(layout, locals)
 	var err error
-	scratch := make([]model.EdgeID, 0, 16)
-	if blk.out, err = encodeRows(src.OutEdges, blk.nodes, &scratch); err != nil {
+	var sc rowScratch
+	if blk.out, err = encodeRows(src.OutEdges, blk.nodes, &sc); err != nil {
 		return nil, err
 	}
-	if blk.in, err = encodeRows(src.InEdges, blk.nodes, &scratch); err != nil {
+	if blk.in, err = encodeRows(src.InEdges, blk.nodes, &sc); err != nil {
 		return nil, err
 	}
 	return &blk, nil
@@ -158,26 +158,68 @@ func buildEdgeBlock(src Source, layout Layout, b uint32) (*edgeBlock, error) {
 	return &blk, nil
 }
 
+// rowScratch is the working memory encodeRows reuses across the two
+// directions of one block.
+type rowScratch struct {
+	lists  [][]model.EdgeID // the Source's incident slices, one per node
+	sorted []model.EdgeID   // every row's sorted copy, back to back
+}
+
 // encodeRows builds one CSR direction: per node, the incident edge IDs
 // sorted ascending and delta-uvarint encoded behind a uvarint degree.
-// Sorting owns a scratch copy, never the Source's slice.
-func encodeRows(incident func(model.NodeID) ([]model.EdgeID, error), nodes []model.Node, scratch *[]model.EdgeID) (rows, error) {
-	r := rows{offs: make([]uint32, 1, len(nodes)+1)}
+// Sorting owns a scratch copy, never the Source's slice. The rows are
+// sized before they are encoded, so a block costs the same few
+// allocations whatever its edge count, and buf carries no growth slack.
+func encodeRows(incident func(model.NodeID) ([]model.EdgeID, error), nodes []model.Node, sc *rowScratch) (rows, error) {
+	if cap(sc.lists) < len(nodes) {
+		sc.lists = make([][]model.EdgeID, 0, len(nodes))
+	}
+	sc.lists = sc.lists[:0]
+	total := 0
 	for i := range nodes {
 		eids, err := incident(nodes[i].ID)
 		if err != nil {
 			return rows{}, err
 		}
-		sc := append((*scratch)[:0], eids...)
-		sort.Slice(sc, func(a, b int) bool { return sc[a] < sc[b] })
-		r.buf = binary.AppendUvarint(r.buf, uint64(len(sc)))
+		sc.lists = append(sc.lists, eids)
+		total += len(eids)
+	}
+	if cap(sc.sorted) < total {
+		sc.sorted = make([]model.EdgeID, 0, total)
+	}
+	sorted, size := sc.sorted[:0], 0
+	for _, eids := range sc.lists {
+		start := len(sorted)
+		sorted = append(sorted, eids...)
+		row := sorted[start:]
+		slices.Sort(row)
+		size += uvarintLen(uint64(len(row)))
 		prev := uint64(0)
-		for _, e := range sc {
+		for _, e := range row {
+			size += uvarintLen(uint64(e) - prev)
+			prev = uint64(e)
+		}
+	}
+	r := rows{offs: make([]uint32, 1, len(nodes)+1), buf: make([]byte, 0, size)}
+	for _, eids := range sc.lists {
+		row := sorted[:len(eids)]
+		sorted = sorted[len(eids):]
+		r.buf = binary.AppendUvarint(r.buf, uint64(len(row)))
+		prev := uint64(0)
+		for _, e := range row {
 			r.buf = binary.AppendUvarint(r.buf, uint64(e)-prev)
 			prev = uint64(e)
 		}
 		r.offs = append(r.offs, uint32(len(r.buf)))
-		*scratch = sc
 	}
 	return r, nil
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }

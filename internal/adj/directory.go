@@ -2,20 +2,23 @@ package adj
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // directory maps a local ID (0..blockSize-1) to its dense slot inside a
 // block, in one of two layouts:
 //
 //   - varint: the present local IDs as a sorted []uint16, slot found by
-//     binary search — compact when the block is sparse;
+//     binary search — compact when the block is sparse. When the IDs form
+//     one contiguous run (every full block, and the tail block of a store
+//     that never deleted), the slot is a subtraction instead;
 //   - bitmap: a 512-bit presence bitmap with per-word cumulative counts,
 //     slot found by popcount rank — constant-time membership, the
 //     DEX-style compressed-bitmap organization bitmapdb selects.
 type directory struct {
 	ids []uint16   // varint layout; nil under bitmap layout
 	bm  *bitmapDir // bitmap layout; nil under varint layout
+	run bool       // varint layout: ids is ids[0], ids[0]+1, ..., with no gap
 }
 
 type bitmapDir struct {
@@ -39,7 +42,8 @@ func makeDirectory(layout Layout, locals []uint16) directory {
 	}
 	ids := make([]uint16, len(locals))
 	copy(ids, locals)
-	return directory{ids: ids}
+	run := len(ids) > 0 && int(ids[len(ids)-1])-int(ids[0]) == len(ids)-1
+	return directory{ids: ids, run: run}
 }
 
 // rank returns the dense slot of local and whether it is present.
@@ -52,9 +56,10 @@ func (d *directory) rank(local uint32) (int, bool) {
 		}
 		return int(d.bm.cum[w]) + bits.OnesCount64(word&(1<<b-1)), true
 	}
-	i := sort.Search(len(d.ids), func(i int) bool { return uint32(d.ids[i]) >= local })
-	if i < len(d.ids) && uint32(d.ids[i]) == local {
-		return i, true
+	if d.run {
+		i := int(local) - int(d.ids[0])
+		return i, uint(i) < uint(len(d.ids))
 	}
-	return 0, false
+	i, ok := slices.BinarySearch(d.ids, uint16(local))
+	return i, ok
 }

@@ -221,3 +221,20 @@ func TestClockManyKeysStaysBounded(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", c.Len())
 	}
 }
+
+// TestResultsContainsDoesNotCount: Contains answers whether an answer is
+// cached at an epoch without moving the hit or miss counters.
+func TestResultsContainsDoesNotCount(t *testing.T) {
+	r := NewResults(1 << 10)
+	fp := Fingerprint("e", "gql", "MATCH (n) RETURN n")
+	if r.Contains(fp, 2) {
+		t.Fatal("empty cache contains an answer")
+	}
+	r.Put(fp, 2, "rows", 8)
+	if !r.Contains(fp, 2) || r.Contains(fp, 4) {
+		t.Fatal("Contains ignores the epoch")
+	}
+	if s := r.Stats(); s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("Contains counted: %+v", s)
+	}
+}

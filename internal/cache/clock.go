@@ -54,6 +54,15 @@ func (c *Clock[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
+// Contains reports whether k is cached, without marking the entry or
+// counting a hit or a miss.
+func (c *Clock[K, V]) Contains(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.pos[k]
+	return ok
+}
+
 // Put inserts or replaces k. Entries whose cost alone exceeds the budget
 // are not admitted.
 func (c *Clock[K, V]) Put(k K, v V) {

@@ -53,6 +53,10 @@ func (r *Results) Get(fp, epoch uint64) (any, bool) {
 	return cv.v, true
 }
 
+// Contains reports whether an answer is cached for fp at epoch, without
+// counting a hit or a miss.
+func (r *Results) Contains(fp, epoch uint64) bool { return r.c.Contains(resultKey{fp, epoch}) }
+
 // Put caches v under (fp, epoch) with the given byte cost estimate.
 func (r *Results) Put(fp, epoch uint64, v any, cost int64) {
 	r.c.Put(resultKey{fp, epoch}, costed{v: v, cost: cost})

@@ -139,8 +139,8 @@ func (db *DB) Features() engine.Features {
 func (db *DB) LanguageName() string { return "gql" }
 
 // Query implements engine.Querier with the Cypher-like language. On
-// disk-backed instances with a cache budget, read statements (MATCH) are
-// memoized at the current graph epoch.
+// disk-backed instances with a cache budget, read statements are memoized
+// at the current graph epoch.
 func (db *DB) Query(stmt string) (*plan.Result, error) {
 	return db.QueryContext(context.Background(), stmt)
 }
@@ -151,7 +151,7 @@ func (db *DB) Query(stmt string) (*plan.Result, error) {
 func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
 	defer obs.FromContext(ctx).StartSpan("query")()
 	exec := func() (*plan.Result, error) { return gql.ExecCtx(ctx, stmt, db.Core) }
-	if db.results == nil || !engine.ReadOnlyStmt(stmt, "MATCH") {
+	if !db.cacheable(stmt) {
 		return exec()
 	}
 	return engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "gql", stmt, exec)
@@ -163,7 +163,7 @@ func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, erro
 // bypasses cache coherence; the rows are identical either way.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
-	if db.results == nil || !engine.ReadOnlyStmt(stmt, "MATCH") {
+	if !db.cacheable(stmt) {
 		return gql.ExecStreamCtx(ctx, stmt, db.Core, sink)
 	}
 	res, err := engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "gql", stmt,
@@ -172,6 +172,24 @@ func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) erro
 		return err
 	}
 	return plan.Replay(res, sink)
+}
+
+// cacheable reports whether the result cache may serve stmt: the instance
+// has one and the parsed statement is read-only, so a MATCH-headed write
+// (MATCH ... SET/CREATE/DELETE) never enters it. A statement that does not
+// parse is not cacheable; executing it reports the parse error. Only
+// statements classified here are ever published, so one with an answer
+// cached at the current epoch is read-only without a second parse: a hit
+// costs a lookup, not a parse.
+func (db *DB) cacheable(stmt string) bool {
+	if db.results == nil {
+		return false
+	}
+	if db.results.Contains(cache.Fingerprint(db.Name(), "gql", stmt), db.kg.Epoch()) {
+		return true
+	}
+	st, err := gql.Parse(stmt)
+	return err == nil && st.ReadOnly()
 }
 
 // CacheStats implements engine.CacheStatser; main-memory instances report

@@ -1,6 +1,7 @@
 package neograph
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/engine"
@@ -91,3 +92,49 @@ func TestDiskPersistenceWithLabelIndexRebuild(t *testing.T) {
 		t.Fatalf("query after reopen: %v %v", res, err)
 	}
 }
+
+// TestResultCacheSkipsMatchHeadedWrites: the result cache is routed by the
+// parsed statement, so MATCH ... SET and MATCH ... CREATE on a cached disk
+// instance never consult it (hits and misses stay 0) and take effect,
+// while a read misses once and then hits.
+func TestResultCacheSkipsMatchHeadedWrites(t *testing.T) {
+	db, err := New(engine.Options{Dir: t.TempDir(), CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a, _ := db.AddNode("P", model.Props("name", "ada"))
+	db.AddNode("P", model.Props("name", "bob"))
+	results := func() (hits, misses uint64) {
+		s := db.CacheStats()["results"]
+		return s.Hits, s.Misses
+	}
+	if _, err := db.Query(`MATCH (p:P {name: 'ada'}) SET p.age = 37`); err != nil {
+		t.Fatal(err)
+	}
+	var sink rowSink
+	if err := db.QueryStream(context.Background(), `MATCH (p:P {name: 'ada'}), (q:P {name: 'bob'}) CREATE (p)-[:knows]->(q)`, &sink); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := results(); h != 0 || m != 0 {
+		t.Fatalf("MATCH-headed writes consulted the result cache: hits=%d misses=%d", h, m)
+	}
+	n, err := db.Node(a)
+	if err != nil || !n.Props.Get("age").Equal(model.Int(37)) || db.Size() != 1 {
+		t.Fatalf("writes did not apply: node %v, %d edges, err %v", n, db.Size(), err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := db.Query(`MATCH (p:P) RETURN p.name AS n`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, m := results(); h != 1 || m != 1 {
+		t.Fatalf("read twice: hits=%d misses=%d, want 1 and 1", h, m)
+	}
+}
+
+// rowSink is a plan.Sink that drops what it receives.
+type rowSink struct{}
+
+func (rowSink) Cols([]string) error     { return nil }
+func (rowSink) Row([]model.Value) error { return nil }

@@ -5,11 +5,13 @@
 package propcore
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
+	"gdbm/internal/adj"
 	"gdbm/internal/constraint"
 	"gdbm/internal/index"
+	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/query/plan"
 	"gdbm/internal/query/stats"
@@ -240,12 +242,21 @@ func (c *Core) SortedNeighborIDs(id model.NodeID, dir model.Direction, label str
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 
 // IndexedNodes implements plan.Source via the index manager.
 func (c *Core) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
+	return c.indexedNodes(c.g, label, prop, v, fn)
+}
+
+// indexedNodes serves IndexedNodes, resolving each index hit through g:
+// the live store, or a pinned view of it. The index is always the live
+// one, so a hit may name a node g does not hold (skipped) or miss one that
+// g holds but a later write moved out of the looked-up key; NodeScan
+// rechecks every node it receives against its label and properties.
+func (c *Core) indexedNodes(g model.Graph, label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
 	var idx index.Index
 	var key model.Value
 	if prop != "" {
@@ -261,9 +272,8 @@ func (c *Core) IndexedNodes(label, prop string, v model.Value, fn func(model.Nod
 		}
 		idx, key = i, model.Str(label)
 	}
-	var innerErr error
 	err := idx.Lookup(key, func(id uint64) bool {
-		n, err := c.g.Node(model.NodeID(id))
+		n, err := g.Node(model.NodeID(id))
 		if err != nil {
 			return true // index lag; skip
 		}
@@ -275,7 +285,43 @@ func (c *Core) IndexedNodes(label, prop string, v model.Value, fn func(model.Nod
 	if err != nil {
 		return false, err
 	}
-	return true, innerErr
+	return true, nil
+}
+
+// PinSource implements plan.Pinnable. On a main-memory store it pins the
+// store's current copy-on-write snapshot and returns a source that serves
+// every read of one statement from it: structural reads and sorted
+// adjacency from the snapshot's CSR blocks, statistics for the snapshot's
+// epoch, and index hits resolved through the snapshot. Other stores
+// (kvgraph) return the live Core with a no-op release: their reads keep
+// going through the pager and its caches. Writes always go to the Core.
+func (c *Core) PinSource() (plan.Source, model.ReleaseFunc, error) {
+	mg, ok := c.g.(*memgraph.Graph)
+	if !ok {
+		return c, func() {}, nil
+	}
+	s, release, err := mg.PinSnapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &pinnedSource{Snapshot: s, core: c, mg: mg}, release, nil
+}
+
+// pinnedSource is the read source of one statement on a main-memory
+// store. The embedded snapshot answers the model.Graph reads and
+// SortedNeighborIDs.
+type pinnedSource struct {
+	*adj.Snapshot
+	core *Core
+	mg   *memgraph.Graph
+}
+
+// PlanStats implements stats.Provider for the pinned epoch.
+func (p *pinnedSource) PlanStats() (*stats.Stats, error) { return p.mg.ViewStats(p.Snapshot), nil }
+
+// IndexedNodes implements plan.Source, resolving hits through the snapshot.
+func (p *pinnedSource) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
+	return p.core.indexedNodes(p.Snapshot, label, prop, v, fn)
 }
 
 // LoadNode implements the harness Loader.
@@ -288,5 +334,11 @@ func (c *Core) LoadEdge(label string, from, to model.NodeID, props model.Propert
 	return c.AddEdge(label, from, to, props)
 }
 
-var _ plan.Source = (*Core)(nil)
-var _ model.MutableGraph = (*Core)(nil)
+var (
+	_ plan.Source           = (*Core)(nil)
+	_ plan.Pinnable         = (*Core)(nil)
+	_ model.MutableGraph    = (*Core)(nil)
+	_ plan.Source           = (*pinnedSource)(nil)
+	_ stats.Provider        = (*pinnedSource)(nil)
+	_ model.SortedAdjacency = (*pinnedSource)(nil)
+)

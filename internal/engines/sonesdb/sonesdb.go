@@ -126,6 +126,9 @@ func (s gsqlSurface) Degree(id model.NodeID, d model.Direction) (int, error) {
 func (s gsqlSurface) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
 	return s.db.Core.IndexedNodes(label, prop, v, fn)
 }
+func (s gsqlSurface) PinSource() (plan.Source, model.ReleaseFunc, error) {
+	return s.db.Core.PinSource()
+}
 func (s gsqlSurface) AddNode(label string, props model.Properties) (model.NodeID, error) {
 	return s.db.Core.AddNode(label, props)
 }

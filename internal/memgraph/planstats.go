@@ -1,6 +1,7 @@
 package memgraph
 
 import (
+	"gdbm/internal/adj"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
@@ -16,27 +17,28 @@ import (
 // the next call builds them for the then-current view (see
 // stats.Versioned.Get).
 func (g *Graph) PlanStats() (*stats.Stats, error) {
-	v, rel, err := g.AcquireView()
+	s, rel, err := g.PinSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer rel()
-	return g.stats.Get(v), nil
+	return g.ViewStats(s), nil
 }
+
+// ViewStats returns the statistics of one pinned view of this graph: the
+// statistics PlanStats answers while s is the current view, built at most
+// once per epoch either way.
+func (g *Graph) ViewStats(s *adj.Snapshot) *stats.Stats { return g.stats.Get(s) }
 
 // SortedNeighborIDs implements model.SortedAdjacency from the pinned view,
 // whose CSR rows serve the sorted lists without touching node records.
 func (g *Graph) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	v, rel, err := g.AcquireView()
+	s, rel, err := g.PinSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer rel()
-	snap, ok := v.(model.SortedAdjacency)
-	if !ok {
-		return nil, model.ErrUnsupported
-	}
-	return snap.SortedNeighborIDs(id, dir, label)
+	return s.SortedNeighborIDs(id, dir, label)
 }
 
 var (

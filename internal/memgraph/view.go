@@ -29,16 +29,23 @@ func (g *Graph) SetViewLayout(l adj.Layout) { g.ver.SetLayout(l) }
 // readers) and the dirty blocks are re-rendered. The release must be
 // called exactly once; it is idempotent.
 func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
+	s, rel, err := g.PinSnapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, rel, nil
+}
+
+// PinSnapshot is AcquireView returning the snapshot's concrete type, for
+// readers that use its capabilities directly (sorted adjacency, and the
+// per-view statistics of ViewStats).
+func (g *Graph) PinSnapshot() (*adj.Snapshot, model.ReleaseFunc, error) {
 	if s, rel := g.ver.TryPin(g.epoch.Current()); rel != nil {
 		return s, rel, nil
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s, rel, err := g.ver.Pin(g.epoch.Current(), memSource{g})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, rel, nil
+	return g.ver.Pin(g.epoch.Current(), memSource{g})
 }
 
 // memSource adapts the graph's internals to the snapshot builder. Its

@@ -31,16 +31,32 @@ func Query(input string, src plan.Source) (*plan.Result, error) {
 	if !st.ReadOnly() {
 		return nil, fmt.Errorf("gql: statement writes; use Exec")
 	}
-	return runRead(st, src)
+	return runRead(context.Background(), st, src, nil)
 }
 
-func runRead(st *Statement, src plan.Source) (*plan.Result, error) {
+// runRead plans and executes a read statement on one pinned view of src
+// (plan.Pin), released when the last row has been delivered. With a sink
+// the rows stream into it and the result is nil; without, they are
+// collected.
+func runRead(ctx context.Context, st *Statement, src plan.Source, sink plan.Sink) (*plan.Result, error) {
 	if st.Match == nil {
+		if sink != nil {
+			return nil, plan.Replay(&plan.Result{}, sink)
+		}
 		return &plan.Result{}, nil
 	}
+	src, release, err := plan.Pin(src)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	src = plan.WithCancel(ctx, src)
 	op, err := plan.CompileFor(st.Match, src)
 	if err != nil {
 		return nil, err
+	}
+	if sink != nil {
+		return nil, plan.Stream(op, src, st.Columns(), sink)
 	}
 	return plan.Collect(op, src, st.Columns())
 }
@@ -82,15 +98,8 @@ func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink)
 	}
 	defer tr.StartSpan("exec")()
 	if st.ReadOnly() {
-		if st.Match == nil {
-			return plan.Replay(&plan.Result{}, sink)
-		}
-		src := plan.WithCancel(ctx, m)
-		op, err := plan.CompileFor(st.Match, src)
-		if err != nil {
-			return err
-		}
-		return plan.Stream(op, src, st.Columns(), sink)
+		_, err := runRead(ctx, st, m, sink)
+		return err
 	}
 	res, err := execParsed(ctx, st, m)
 	if err != nil {
@@ -101,7 +110,7 @@ func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink)
 
 func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, error) {
 	if st.ReadOnly() {
-		return runRead(st, plan.WithCancel(ctx, m))
+		return runRead(ctx, st, m, nil)
 	}
 
 	// Materialize binding rows first so mutation does not race iteration.

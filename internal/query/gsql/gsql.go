@@ -635,14 +635,20 @@ func execSelectSink(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sin
 		}
 		spec.Limit = int(n)
 	}
-	op, err := plan.CompileFor(&spec, e)
+	src, release, err := plan.Pin(e)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	src = plan.WithCancel(ctx, src)
+	op, err := plan.CompileFor(&spec, src)
 	if err != nil {
 		return nil, err
 	}
 	if sink != nil {
-		return nil, plan.Stream(op, plan.WithCancel(ctx, e), cols, sink)
+		return nil, plan.Stream(op, src, cols, sink)
 	}
-	return plan.Collect(op, plan.WithCancel(ctx, e), cols)
+	return plan.Collect(op, src, cols)
 }
 
 // colOrRowProp resolves an ORDER BY key: first as an output column of the

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,6 +165,4 @@ func (x *IntersectExpand) String() string {
 }
 
 // sortNodeIDs sorts ids ascending (duplicates preserved).
-func sortNodeIDs(ids []model.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortNodeIDs(ids []model.NodeID) { slices.Sort(ids) }

@@ -33,6 +33,28 @@ func (UnindexedSource) IndexedNodes(string, string, model.Value, func(model.Node
 	return false, nil
 }
 
+// Pinnable is implemented by sources that can serve a whole read statement
+// from one immutable point-in-time view: propcore's Core on main-memory
+// stores, whose pinned source reads the store's copy-on-write snapshot.
+type Pinnable interface {
+	PinSource() (Source, model.ReleaseFunc, error)
+}
+
+// Pin returns the source one read statement plans and executes against,
+// and the release to call when its last row has been delivered. A
+// Pinnable source answers with its pinned view — structural reads, sorted
+// adjacency, statistics and index hits all come from the same snapshot,
+// so the statement sees exactly one state of the graph and no read takes
+// the store's lock. Any other source is returned as it is, with a no-op
+// release. The three query languages call Pin for every plan-executed
+// read statement, before compiling it.
+func Pin(src Source) (Source, model.ReleaseFunc, error) {
+	if p, ok := src.(Pinnable); ok {
+		return p.PinSource()
+	}
+	return src, func() {}, nil
+}
+
 // Op is a push-based physical operator: it streams rows to emit. Returning
 // a non-nil error from emit aborts execution with that error.
 //
@@ -223,57 +245,67 @@ type Expand struct {
 	Dir     model.Direction
 }
 
-// Run implements Op.
+// Run implements Op. The neighbor callback is built once per Run and reads
+// the current input row's bindings from st, which the per-row function
+// sets, so a Neighbors call allocates nothing of the operator's own. The
+// state is one struct so that it escapes as one allocation per Run.
 func (x *Expand) Run(src Source, emit func(query.Row) error) error {
-	return x.Child.Run(src, func(row query.Row) error {
-		from, err := boundNode("expand", row, x.FromVar)
+	var st struct {
+		row              query.Row
+		toSlot, edgeSlot int
+		toBound          bool
+		join             model.NodeID
+		err              error
+	}
+	visit := func(e model.Edge, n model.Node) bool {
+		if x.Label != "" && e.Label != x.Label {
+			return true
+		}
+		if st.toBound {
+			if st.join != n.ID {
+				return true
+			}
+		} else {
+			st.row.Slots[st.toSlot] = query.NodeEntry(n)
+		}
+		if st.edgeSlot >= 0 {
+			st.row.Slots[st.edgeSlot] = query.EdgeEntry(e)
+		}
+		if err := emit(st.row); err != nil {
+			st.err = err
+			return false
+		}
+		return true
+	}
+	return x.Child.Run(src, func(r query.Row) error {
+		from, err := boundNode("expand", r, x.FromVar)
 		if err != nil {
 			return err
 		}
-		toSlot, err := slotOf("expand", row, x.ToVar)
+		toSlot, err := slotOf("expand", r, x.ToVar)
 		if err != nil {
 			return err
 		}
 		edgeSlot := -1
 		if x.EdgeVar != "" {
-			if edgeSlot, err = slotOf("expand", row, x.EdgeVar); err != nil {
+			if edgeSlot, err = slotOf("expand", r, x.EdgeVar); err != nil {
 				return err
 			}
-			defer func() { row.Slots[edgeSlot] = query.Entry{} }()
+			defer func() { r.Slots[edgeSlot] = query.Entry{} }()
 		}
-		target := row.Slots[toSlot]
+		target := r.Slots[toSlot]
 		if target.Kind != query.EntryUnset && target.Kind != query.EntryNode {
 			return nil // bound to a non-node: no neighbor matches
 		}
-		toBound, join := target.Kind == query.EntryNode, target.Node.ID
+		toBound := target.Kind == query.EntryNode
 		if !toBound {
-			defer func() { row.Slots[toSlot] = query.Entry{} }()
+			defer func() { r.Slots[toSlot] = query.Entry{} }()
 		}
-		var innerErr error
-		err = src.Neighbors(from.ID, x.Dir, func(e model.Edge, n model.Node) bool {
-			if x.Label != "" && e.Label != x.Label {
-				return true
-			}
-			if toBound {
-				if join != n.ID {
-					return true
-				}
-			} else {
-				row.Slots[toSlot] = query.NodeEntry(n)
-			}
-			if edgeSlot >= 0 {
-				row.Slots[edgeSlot] = query.EdgeEntry(e)
-			}
-			if err := emit(row); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
+		st.row, st.toSlot, st.edgeSlot, st.toBound, st.join, st.err = r, toSlot, edgeSlot, toBound, target.Node.ID, nil
+		if err := src.Neighbors(from.ID, x.Dir, visit); err != nil {
 			return err
 		}
-		return innerErr
+		return st.err
 	})
 }
 
@@ -376,11 +408,41 @@ type Aggregate struct {
 	Aggs    []AggItem
 }
 
-// aggAcc folds one aggregate of one group.
+// aggFn is an aggregate function, resolved from AggItem.Fn once per Run.
+type aggFn uint8
+
+const (
+	aggUnknown aggFn = iota
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+func parseAggFn(fn string) aggFn {
+	switch strings.ToLower(fn) {
+	case "count":
+		return aggCount
+	case "sum":
+		return aggSum
+	case "avg":
+		return aggAvg
+	case "min":
+		return aggMin
+	case "max":
+		return aggMax
+	}
+	return aggUnknown
+}
+
+// aggAcc folds the numeric side of one aggregate of one group: sum and avg
+// read it, count reads the group's row count instead, and min and max keep
+// their Values apart (Aggregate.Run's extremes), only when the plan has
+// one.
 type aggAcc struct {
-	count    int
-	sum      float64
-	min, max model.Value
+	count int     // non-null values: avg's denominator
+	sum   float64 // sum of the numeric ones
 }
 
 // Run implements Op. Groups live in flat slices indexed by first-seen
@@ -388,20 +450,28 @@ type aggAcc struct {
 // existing group allocates nothing and a new group costs one map key.
 func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 	nk, na := len(a.GroupBy), len(a.Aggs)
-	fns := make([]string, na)
+	fns := make([]aggFn, na)
+	ext := make([]int, na) // a min/max aggregate's index among a group's extremes
+	ne := 0
 	for i, ag := range a.Aggs {
-		fns[i] = strings.ToLower(ag.Fn)
+		fns[i] = parseAggFn(ag.Fn)
+		if fns[i] == aggMin || fns[i] == aggMax {
+			ext[i] = ne
+			ne++
+		}
 	}
 	groups := map[string]int{}
 	var (
 		rowCounts []int         // rows per group
 		keyVals   []model.Value // nk per group
 		accs      []aggAcc      // na per group
+		extremes  []model.Value // ne per group
 		kb        []byte
 	)
 	newGroup := func() int {
 		rowCounts = append(rowCounts, 0)
 		accs = append(accs, make([]aggAcc, na)...)
+		extremes = append(extremes, make([]model.Value, ne)...)
 		return len(rowCounts) - 1
 	}
 	key := make([]model.Value, nk)
@@ -424,6 +494,7 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 		}
 		rowCounts[gi]++
 		acc := accs[gi*na : (gi+1)*na]
+		ex := extremes[gi*ne : (gi+1)*ne]
 		for i, ag := range a.Aggs {
 			var v model.Value
 			if ag.Arg != nil {
@@ -433,18 +504,23 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 					return err
 				}
 			}
-			if v.IsNull() && fns[i] != "count" {
+			if v.IsNull() {
 				continue
 			}
-			acc[i].count++
-			if f, ok := v.AsFloat(); ok {
-				acc[i].sum += f
-			}
-			if acc[i].min.IsNull() || v.Compare(acc[i].min) < 0 {
-				acc[i].min = v
-			}
-			if acc[i].max.IsNull() || v.Compare(acc[i].max) > 0 {
-				acc[i].max = v
+			switch fns[i] {
+			case aggSum, aggAvg:
+				acc[i].count++
+				if f, ok := v.AsFloat(); ok {
+					acc[i].sum += f
+				}
+			case aggMin:
+				if m := &ex[ext[i]]; m.IsNull() || v.Compare(*m) < 0 {
+					*m = v
+				}
+			case aggMax:
+				if m := &ex[ext[i]]; m.IsNull() || v.Compare(*m) > 0 {
+					*m = v
+				}
 			}
 		}
 		return nil
@@ -472,20 +548,18 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 			acc := accs[gi*na+i]
 			var v model.Value
 			switch fns[i] {
-			case "count":
+			case aggCount:
 				v = model.Int(int64(n))
-			case "sum":
+			case aggSum:
 				v = model.Float(acc.sum)
-			case "avg":
+			case aggAvg:
 				if acc.count == 0 {
 					v = model.Null()
 				} else {
 					v = model.Float(acc.sum / float64(acc.count))
 				}
-			case "min":
-				v = acc.min
-			case "max":
-				v = acc.max
+			case aggMin, aggMax:
+				v = extremes[gi*ne+ext[i]]
 			default:
 				return fmt.Errorf("unknown aggregate %q", ag.Fn)
 			}

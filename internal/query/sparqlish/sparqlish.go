@@ -360,11 +360,17 @@ func RunCtx(ctx context.Context, input string, src plan.Source) (*plan.Result, e
 		return nil, err
 	}
 	defer tr.StartSpan("exec")()
+	src, release, err := plan.Pin(src)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	src = plan.WithCancel(ctx, src)
 	op, err := plan.CompileFor(&q.Spec, src)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Collect(op, plan.WithCancel(ctx, src), q.Vars)
+	return plan.Collect(op, src, q.Vars)
 }
 
 // RunStreamCtx is RunCtx delivering the result into sink incrementally as
@@ -379,9 +385,15 @@ func RunStreamCtx(ctx context.Context, input string, src plan.Source, sink plan.
 		return err
 	}
 	defer tr.StartSpan("exec")()
+	src, release, err := plan.Pin(src)
+	if err != nil {
+		return err
+	}
+	defer release()
+	src = plan.WithCancel(ctx, src)
 	op, err := plan.CompileFor(&q.Spec, src)
 	if err != nil {
 		return err
 	}
-	return plan.Stream(op, plan.WithCancel(ctx, src), q.Vars, sink)
+	return plan.Stream(op, src, q.Vars, sink)
 }

@@ -247,7 +247,7 @@ func TableVII(engines []engine.Engine) (*Table, error) {
 				row.Cells[3] = engine.Yes.Mark()
 			}
 		}
-		if es.PatternMatching != nil {
+		if es.PatternMatching != nil && probePatternMatching(es.PatternMatching, ids) {
 			row.Cells[4] = engine.Yes.Mark()
 		}
 		if es.Summarization != nil {
@@ -261,6 +261,36 @@ func TableVII(engines []engine.Engine) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// probePatternMatching runs the pattern-matching probe: x -next-> y -next-> z
+// over Thing nodes, which the probe graph's chain n0 -> n1 -> n2 -> n3
+// holds exactly twice. It reports whether match answered exactly those
+// two embeddings.
+func probePatternMatching(match func(*algo.Pattern) ([]algo.Match, error), ids []model.NodeID) bool {
+	p, err := algo.NewPattern(
+		[]algo.PatternNode{{Var: "x", Label: "Thing"}, {Var: "y", Label: "Thing"}, {Var: "z", Label: "Thing"}},
+		[]algo.PatternEdge{{From: 0, To: 1, Label: "next"}, {From: 1, To: 2, Label: "next"}},
+	)
+	if err != nil {
+		return false
+	}
+	ms, err := match(p)
+	if err != nil || len(ms) != 2 {
+		return false
+	}
+	want := map[[3]model.NodeID]bool{
+		{ids[0], ids[1], ids[2]}: true,
+		{ids[1], ids[2], ids[3]}: true,
+	}
+	for _, m := range ms {
+		k := [3]model.NodeID{m["x"], m["y"], m["z"]}
+		if len(m) != 3 || !want[k] {
+			return false
+		}
+		delete(want, k)
+	}
+	return len(want) == 0
 }
 
 func contains(ids []model.NodeID, id model.NodeID) bool {
